@@ -168,9 +168,11 @@ def run(
     duration: Optional[float] = None,
     seed: int = 1,
     gen_seed: int = 1,
-    sizes: Sequence[int] = DEFAULT_SIZES,
+    sizes: Optional[Sequence[int]] = None,
 ) -> ScaleResult:
     duration = duration or DEFAULT_DURATION_SECONDS
+    if sizes is None:
+        sizes = DEFAULT_SIZES  # resolved per call, so callers can rebind it
     rows: List[ScaleRow] = []
     for size in sizes:
         spec = _build(

@@ -40,8 +40,7 @@ outage schedule is compiled ahead of time into link-state epochs
 with their backlog ledgered as failure drops, flows reroute via
 clock-free SPF/ECMP re-resolution, and admission-controlled flows
 re-enter admission with accounted teardowns — the same control summary
-the packet engine attaches.  ``REPRO_FLUID_OUTAGES=0`` restores the
-pre-control-plane rejection of active outage specs.
+the packet engine attaches.
 
 What the fluid model does *not* capture: packet-granularity effects
 (per-packet jitter inside an epoch, FIFO+ jitter sharing), transient
@@ -54,8 +53,9 @@ tolerances against the packet engine live in
 Two interchangeable backends: a pure-Python reference (authoritative,
 always available) and a vectorized NumPy path (the scale engine,
 ~100–1000x faster at 10k+ flows).  ``REPRO_FLUID_BACKEND=pure|numpy``
-pins one; the default uses NumPy when installed and the population is
-large enough to benefit.
+pins one; the default uses NumPy when installed.  Both switches this
+module honours (``REPRO_FLUID_BACKEND``, ``REPRO_FLUID_EPOCH``) are
+parsed by :mod:`repro.config` when :meth:`FluidOptions.from_env` runs.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.net.packet import ServiceClass
 from repro.net.routing import RoutingError
 from repro.scenario.disciplines import resolve_port_discipline
@@ -96,20 +97,6 @@ TIERED_KINDS = frozenset({"unified", "priority"})
 #: paper's A/B methodology) and reruns are bit-identical.
 _PHASE_SALT = "fluid-phase"
 
-_EPOCH_ENV = "REPRO_FLUID_EPOCH"
-_BACKEND_ENV = "REPRO_FLUID_BACKEND"
-_FF_ENV = "REPRO_FLUID_FF"
-#: Kill switch: ``REPRO_FLUID_OUTAGES=0`` restores the pre-control-plane
-#: behaviour (active outage specs raise; the compile path for
-#: outage-free specs is untouched either way).
-_OUTAGES_ENV = "REPRO_FLUID_OUTAGES"
-
-
-def _outages_enabled() -> bool:
-    value = os.environ.get(_OUTAGES_ENV, "").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 @dataclasses.dataclass(frozen=True)
 class FluidOptions:
     """Tuning knobs of the fluid engine (all have sound defaults).
@@ -132,9 +119,8 @@ class FluidOptions:
             per-epoch sample bookkeeping; ``FlowStats`` rows still
             appear, with zeroed delay statistics.
         fast_forward: let the NumPy kernel jump steady constant-demand
-            intervals in closed form (``REPRO_FLUID_FF=0`` kill
-            switch); results stay bit-identical to the epoch-by-epoch
-            schedule — see :mod:`repro.fluid.kernel`.
+            intervals in closed form; results stay bit-identical to the
+            epoch-by-epoch schedule — see :mod:`repro.fluid.kernel`.
         fuse_epochs: epochs per fused kernel block (0 = sized
             automatically from the incidence, the default).
     """
@@ -149,17 +135,14 @@ class FluidOptions:
 
     @classmethod
     def from_env(cls, **overrides) -> "FluidOptions":
-        epoch = os.environ.get(_EPOCH_ENV)
-        if epoch and "epoch_seconds" not in overrides:
-            overrides["epoch_seconds"] = float(epoch)
-        backend = os.environ.get(_BACKEND_ENV)
-        if backend and "backend" not in overrides:
+        """Options from ``REPRO_FLUID_EPOCH`` / ``REPRO_FLUID_BACKEND``
+        (read now); explicit ``overrides`` win over the environment."""
+        epoch = config.fluid_epoch()
+        if epoch is not None and "epoch_seconds" not in overrides:
+            overrides["epoch_seconds"] = epoch
+        backend = config.fluid_backend()
+        if backend is not None and "backend" not in overrides:
             overrides["backend"] = backend
-        ff = os.environ.get(_FF_ENV)
-        if ff and "fast_forward" not in overrides:
-            overrides["fast_forward"] = ff.strip().lower() not in (
-                "0", "false", "off", "no"
-            )
         return cls(**overrides)
 
 
@@ -292,38 +275,6 @@ class FluidSimulation:
                 f"{spec.name!r} carries TCP flow(s) {shown}; run this "
                 f"spec on the packet engine (engine=\"packet\" on the "
                 f"spec, REPRO_ENGINE=packet, or --engine packet)"
-            )
-        if (
-            spec.outages is not None
-            and spec.outages.is_active
-            and not _outages_enabled()
-        ):
-            out = spec.outages
-            parts = []
-            if out.events:
-                links = {e.link for e in out.events}
-                shown = ", ".join(
-                    repr(l) for l in heapq.nsmallest(5, links)
-                )
-                if len(links) > 5:
-                    shown += f", ... ({len(links)} links)"
-                parts.append(
-                    f"{len(out.events)} explicit outage event(s) on "
-                    f"{shown}"
-                )
-            if out.rate_per_second:
-                parts.append(
-                    f"a sampled outage process at "
-                    f"{out.rate_per_second:g}/s"
-                )
-            detail = " and ".join(parts)
-            raise ValueError(
-                f"fluid outage support is disabled "
-                f"({_OUTAGES_ENV}=0): spec {spec.name!r} declares "
-                f"{detail}; unset {_OUTAGES_ENV} to compile the outage "
-                f"schedule into link-state epochs, or run this spec on "
-                f"the packet engine (engine=\"packet\" on the spec, "
-                f"REPRO_ENGINE=packet, or --engine packet)"
             )
         self.spec = spec
         self.discipline = discipline
@@ -595,9 +546,10 @@ class FluidSimulation:
         choice = self.options.backend
         if choice == "auto":
             return "numpy" if _np is not None else "pure"
-        if choice not in ("numpy", "pure"):
+        if choice not in config.FLUID_BACKENDS:
             raise ValueError(
-                f"unknown fluid backend {choice!r}; expected auto|numpy|pure"
+                f"unknown fluid backend {choice!r}; expected "
+                f"{'|'.join(config.FLUID_BACKENDS)}"
             )
         if choice == "numpy" and _np is None:
             raise RuntimeError("numpy backend requested but numpy is absent")

@@ -13,9 +13,9 @@ extension uses).
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional
 
+from repro import config
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sched.base import Scheduler
@@ -26,13 +26,6 @@ from repro.sim.engine import Simulator
 EnqueueListener = Callable[[Packet, float], None]
 DropListener = Callable[[Packet, float], None]
 DepartListener = Callable[[Packet, float, float], None]
-
-
-def _batching_disabled() -> bool:
-    """``REPRO_BATCHED_LINKS=0`` turns batched link service off globally
-    (read at port construction; the bit-identity harness flips it)."""
-    value = os.environ.get("REPRO_BATCHED_LINKS", "").strip().lower()
-    return value in ("0", "false", "no")
 
 
 class OutputPort:
@@ -58,9 +51,10 @@ class OutputPort:
         # clock-independent (``supports_batch_drain``), completion events
         # hand control to :meth:`_drain_burst`, which serves whole bursts
         # arithmetically inside the one event.  Restores and enqueues
-        # still go through the per-packet path.
+        # still go through the per-packet path.  ``REPRO_BATCHED_LINKS=0``
+        # turns it off (read here, at port construction).
         self.batching_enabled = (
-            scheduler.supports_batch_drain and not _batching_disabled()
+            scheduler.supports_batch_drain and config.batched_links()
         )
         if self.batching_enabled:
             link.on_complete_idle = self._drain_burst

@@ -15,8 +15,10 @@ every discipline.
 from __future__ import annotations
 
 import dataclasses
+from math import inf
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import config
 from repro.net.network import Network
 from repro.net.topology import (
     build_network,
@@ -56,8 +58,10 @@ class LinkSpec:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"link {self.src}->{self.dst} is a self-loop")
-        if self.rate_bps <= 0:
-            raise ValueError("link rate must be positive")
+        if not 0.0 < self.rate_bps < inf:
+            raise ValueError(
+                f"link rate_bps must be positive and finite, got {self.rate_bps!r}"
+            )
         if self.buffer_packets <= 0:
             raise ValueError("buffer size must be positive")
         if self.propagation_delay < 0:
@@ -320,8 +324,11 @@ class GuaranteedRequest:
     clock_rate_bps: float
 
     def __post_init__(self):
-        if self.clock_rate_bps <= 0:
-            raise ValueError("clock rate must be positive")
+        if not 0.0 < self.clock_rate_bps < inf:
+            raise ValueError(
+                f"clock_rate_bps must be positive and finite, got "
+                f"{self.clock_rate_bps!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {"service": "guaranteed", **dataclasses.asdict(self)}
@@ -337,8 +344,16 @@ class PredictedRequest:
     target_loss_rate: float = 0.01
 
     def __post_init__(self):
-        if self.token_rate_bps <= 0 or self.bucket_depth_bits <= 0:
-            raise ValueError("token bucket parameters must be positive")
+        if not 0.0 < self.token_rate_bps < inf:
+            raise ValueError(
+                f"token_rate_bps must be positive and finite, got "
+                f"{self.token_rate_bps!r}"
+            )
+        if not 0.0 < self.bucket_depth_bits < inf:
+            raise ValueError(
+                f"bucket_depth_bits must be positive and finite, got "
+                f"{self.bucket_depth_bits!r}"
+            )
         if self.target_delay_seconds <= 0:
             raise ValueError("target delay must be positive")
 
@@ -397,10 +412,16 @@ class FlowSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("flow name must be non-empty")
-        if self.average_rate_pps <= 0:
-            raise ValueError("average rate must be positive")
-        if self.packet_size_bits <= 0:
-            raise ValueError("packet size must be positive")
+        if not 0.0 < self.average_rate_pps < inf:
+            raise ValueError(
+                f"flow average_rate_pps must be positive and finite, got "
+                f"{self.average_rate_pps!r}"
+            )
+        if not 0.0 < self.packet_size_bits < inf:
+            raise ValueError(
+                f"flow packet_size_bits must be positive and finite, got "
+                f"{self.packet_size_bits!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -639,10 +660,15 @@ class OutageEvent:
     duration: float
 
     def __post_init__(self):
-        if self.at < 0:
-            raise ValueError("outage time cannot be negative")
-        if self.duration <= 0:
-            raise ValueError("outage duration must be positive")
+        if not 0.0 <= self.at < inf:
+            raise ValueError(
+                f"outage at must be non-negative and finite, got {self.at!r}"
+            )
+        if not 0.0 < self.duration < inf:
+            raise ValueError(
+                f"outage duration must be positive and finite, got "
+                f"{self.duration!r}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -684,14 +710,23 @@ class OutageSpec:
     max_outages: Optional[int] = None
 
     def __post_init__(self):
-        if self.rate_per_second < 0:
-            raise ValueError("outage rate cannot be negative")
-        if self.mean_duration_seconds <= 0:
-            raise ValueError("mean outage duration must be positive")
+        if not 0.0 <= self.rate_per_second < inf:
+            raise ValueError(
+                f"outage rate_per_second must be non-negative and finite, "
+                f"got {self.rate_per_second!r}"
+            )
+        if not 0.0 < self.mean_duration_seconds < inf:
+            raise ValueError(
+                f"outage mean_duration_seconds must be positive and finite, "
+                f"got {self.mean_duration_seconds!r}"
+            )
         if self.correlated_links < 1:
             raise ValueError("correlated_links must be >= 1")
-        if self.start_after < 0:
-            raise ValueError("start_after cannot be negative")
+        if not 0.0 <= self.start_after < inf:
+            raise ValueError(
+                f"outage start_after must be non-negative and finite, got "
+                f"{self.start_after!r}"
+            )
         if self.max_outages is not None and self.max_outages < 1:
             raise ValueError("max_outages must be >= 1 when set")
 
@@ -737,8 +772,9 @@ DEFAULT_PERCENTILES = (50.0, 90.0, 99.0, 99.9, 99.99)
 #: Simulation engines a spec may request.  ``packet`` is the
 #: discrete-event engine (authoritative); ``fluid`` is the flow-level
 #: epoch model in :mod:`repro.fluid` (fast, approximate, cross-validated
-#: against the packet engine on small instances).
-ENGINE_KINDS = ("packet", "fluid")
+#: against the packet engine on small instances).  ``REPRO_ENGINE``
+#: accepts the same names.
+ENGINE_KINDS = config.ENGINE_KINDS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -810,10 +846,16 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINE_KINDS}"
             )
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.warmup < 0:
-            raise ValueError("warmup cannot be negative")
+        if not 0.0 < self.duration < inf:
+            raise ValueError(
+                f"scenario duration must be positive and finite, got "
+                f"{self.duration!r}"
+            )
+        if not 0.0 <= self.warmup < inf:
+            raise ValueError(
+                f"scenario warmup must be non-negative and finite, got "
+                f"{self.warmup!r}"
+            )
         if not self.disciplines:
             raise ValueError("at least one discipline is required")
         flow_names = [flow.name for flow in self.flows]

@@ -100,17 +100,6 @@ class TestTierOverrides:
 
 
 class TestEngineSeam:
-    def test_env_override_wins(self, monkeypatch):
-        spec = registry.build("gen:fat-tree", gen_seed=1, num_flows=64)
-        monkeypatch.setenv("REPRO_ENGINE", "packet")
-        assert effective_engine(spec) == "packet"
-
-    def test_bad_env_engine_rejected(self, monkeypatch):
-        spec = registry.build("gen:fat-tree", gen_seed=1, num_flows=64)
-        monkeypatch.setenv("REPRO_ENGINE", "quantum")
-        with pytest.raises(ValueError, match="quantum"):
-            effective_engine(spec)
-
     def test_engine_field_round_trips(self):
         spec = registry.build("gen:fat-tree", gen_seed=1, num_flows=64)
         clone = ScenarioSpec.from_dict(spec.to_dict())

@@ -247,12 +247,6 @@ class TestFastForward:
         plain, _ = run_ff(spec, False, monkeypatch)
         self.assert_bitwise_equal(ff, plain)
 
-    def test_kill_switch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_FF", "0")
-        assert FluidOptions.from_env().fast_forward is False
-        monkeypatch.setenv("REPRO_FLUID_FF", "1")
-        assert FluidOptions.from_env().fast_forward is True
-
 
 class TestRecordFlowsSwitch:
     def test_record_flows_off_skips_samples_only(self):

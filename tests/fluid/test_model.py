@@ -178,12 +178,6 @@ class TestBackends:
                 np_flows[f.name].received, rel=1e-9, abs=1e-6
             )
 
-    def test_epoch_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_EPOCH", "0.25")
-        assert FluidOptions.from_env().epoch_seconds == 0.25
-        monkeypatch.setenv("REPRO_FLUID_BACKEND", "pure")
-        assert FluidOptions.from_env().backend == "pure"
-
     def test_unknown_backend_rejected(self):
         spec = single_link_spec(
             (DisciplineSpec.fifo(),), [("a", 100)], duration=1.0
@@ -203,16 +197,6 @@ class TestValidityEnvelope:
         builder.disciplines(DisciplineSpec.fifo())
         spec = builder.build()
         with pytest.raises(ValueError, match="TCP"):
-            FluidSimulation(spec, spec.disciplines[0])
-
-    def test_outage_specs_rejected_with_kill_switch(self, monkeypatch):
-        # Outage specs are supported since the fluid control plane;
-        # REPRO_FLUID_OUTAGES=0 restores the old rejection for *active*
-        # specs only.
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
-        spec = registry.build("gen:outage", gen_seed=1, duration=5.0)
-        assert spec.outages is not None and spec.outages.is_active
-        with pytest.raises(ValueError, match="outage"):
             FluidSimulation(spec, spec.disciplines[0])
 
     def test_outage_specs_supported_by_default(self):
@@ -249,32 +233,13 @@ class TestValidityEnvelope:
         assert "(8 total)" in message
         assert "'tcp-7'" not in message  # beyond the 5-name preview
 
-    def test_outage_rejection_names_links_and_remedy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
-        spec = registry.build("gen:outage", gen_seed=1, duration=5.0)
-        out = spec.outages
-        assert out is not None
-        with pytest.raises(ValueError) as excinfo:
-            FluidSimulation(spec, spec.disciplines[0])
-        message = str(excinfo.value)
-        assert f"{spec.name!r}" in message
-        assert 'engine="packet"' in message
-        assert "REPRO_FLUID_OUTAGES" in message
-        if out.events:
-            first = sorted({e.link for e in out.events})[0]
-            assert repr(first) in message
-        if out.rate_per_second:
-            assert f"{out.rate_per_second:g}/s" in message
-
-    def test_degenerate_outage_spec_not_gated(self, monkeypatch):
-        # Bugfix: an inactive OutageSpec (no events, zero rate) must
-        # build and run even with the kill switch thrown — it declares
-        # nothing to simulate.
+    def test_degenerate_outage_spec_not_gated(self):
+        # An inactive OutageSpec (no events, zero rate) builds and runs
+        # with an empty control plan — it declares nothing to simulate.
         import dataclasses
 
         from repro.scenario.spec import OutageSpec
 
-        monkeypatch.setenv("REPRO_FLUID_OUTAGES", "0")
         builder = ScenarioBuilder("fluid-degen").single_link().duration(5.0)
         builder.add_flow("a", "src-host", "dst-host")
         builder.disciplines(DisciplineSpec.fifo())

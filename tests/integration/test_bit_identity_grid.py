@@ -2,15 +2,15 @@
 
 Generated scenarios (``gen:random-graph``, ``gen:wan-path``,
 ``gen:outage`` — the last one exercising control-plane failovers) are run
-across every engine configuration {batched on/off} x {heap, calendar},
-with validation invariants enabled.  Every configuration must produce an
-*identical* ``DisciplineRunResult`` payload: the batched link service and
-the calendar event store are pure hot-path mechanics, and any observable
-divergence — a delay percentile, a drop count, an invariant verdict —
-is a correctness bug, not a tuning difference.
+with batched link service on and off, with validation invariants
+enabled.  Both configurations must produce an *identical*
+``DisciplineRunResult`` payload: the batched link service is a pure
+hot-path mechanic, and any observable divergence — a delay percentile,
+a drop count, an invariant verdict — is a correctness bug, not a tuning
+difference.
 
-(When the compiled core is built, the heap configurations additionally
-run on it, so the grid also crosses compiled vs pure-Python.)
+When the compiled core is built, both configurations also run on the
+pure-Python engine, so the grid crosses compiled vs pure-Python too.
 """
 
 import os
@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.scenario import ScenarioRunner, registry
+from repro.sim import engine
 
 # Short but non-trivial windows: long enough for queue buildup, outages
 # (gen:outage schedules them after warmup), and multi-hop jitter.
@@ -35,21 +36,20 @@ SCENARIOS = [
     "gen:wan-guaranteed",
 ]
 
-CONFIGS = [
-    pytest.param("heap", False, id="heap-batched"),
-    pytest.param("heap", True, id="heap-perpacket"),
-    pytest.param("calendar", False, id="calendar-batched"),
-    pytest.param("calendar", True, id="calendar-perpacket"),
-]
+# config id -> (REPRO_BATCHED_LINKS, force the pure-Python engine)
+CONFIGS = {"batched": ("1", False), "perpacket": ("0", False)}
+if engine.backend_info()["compiled_available"]:
+    CONFIGS.update(
+        {"pure-batched": ("1", True), "pure-perpacket": ("0", True)}
+    )
 
 
-def _run_grid_point(spec, queue, batching_off):
-    overrides = {
-        "REPRO_ENGINE_QUEUE": queue,
-        "REPRO_BATCHED_LINKS": "0" if batching_off else "",
-    }
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
+def _run_grid_point(spec, batched_links, pure_python):
+    saved_env = os.environ.get("REPRO_BATCHED_LINKS")
+    saved_core = engine._COMPILED
+    os.environ["REPRO_BATCHED_LINKS"] = batched_links
+    if pure_python:
+        engine._COMPILED = None  # the Simulator factory reads it per call
     try:
         runner = ScenarioRunner(spec)
         return [
@@ -57,11 +57,11 @@ def _run_grid_point(spec, queue, batching_off):
             for d in spec.disciplines
         ]
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        engine._COMPILED = saved_core
+        if saved_env is None:
+            os.environ.pop("REPRO_BATCHED_LINKS", None)
+        else:
+            os.environ["REPRO_BATCHED_LINKS"] = saved_env
 
 
 @pytest.fixture(scope="module", params=SCENARIOS)
@@ -74,17 +74,17 @@ def scenario_payloads(request):
         kwargs.update(outage_rate_per_second=2.0, mean_outage_seconds=0.5)
     spec = registry.build(request.param, **kwargs)
     assert spec.validate, "generated scenarios must run with invariants on"
-    payloads = {}
-    for param in CONFIGS:
-        queue, batching_off = param.values
-        payloads[param.id] = _run_grid_point(spec, queue, batching_off)
+    payloads = {
+        config_id: _run_grid_point(spec, *config)
+        for config_id, config in CONFIGS.items()
+    }
     return request.param, spec, payloads
 
 
 class TestBitIdentityGrid:
     def test_all_configs_identical(self, scenario_payloads):
         name, spec, payloads = scenario_payloads
-        reference_id = "heap-perpacket"  # the pre-batching ground truth
+        reference_id = "perpacket"  # the pre-batching ground truth
         reference = payloads[reference_id]
         for config_id, payload in payloads.items():
             assert payload == reference, (

@@ -1,6 +1,7 @@
 """Tests for the declarative spec layer (validation, immutability, JSON)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.scenario import (
     ScenarioSpec,
     TopologySpec,
 )
+from repro.scenario.spec import LinkSpec
 
 
 def minimal_spec(**overrides) -> ScenarioSpec:
@@ -115,6 +117,58 @@ class TestFlowSpec:
             PredictedRequest(
                 token_rate_bps=1, bucket_depth_bits=1, target_delay_seconds=0
             )
+
+
+#: "Class.field" -> (build the object with the field set to v, whether 0
+#: is a valid value).  Every other value of BAD_VALUES must be rejected.
+NUMERIC_FIELDS = {
+    "LinkSpec.rate_bps": (lambda v: LinkSpec("a", "b", rate_bps=v), False),
+    "FlowSpec.average_rate_pps": (
+        lambda v: FlowSpec("f", "a", "b", average_rate_pps=v), False
+    ),
+    "FlowSpec.packet_size_bits": (
+        lambda v: FlowSpec("f", "a", "b", packet_size_bits=v), False
+    ),
+    "ScenarioSpec.duration": (lambda v: minimal_spec(duration=v), False),
+    "ScenarioSpec.warmup": (lambda v: minimal_spec(warmup=v), True),
+    "GuaranteedRequest.clock_rate_bps": (
+        lambda v: GuaranteedRequest(clock_rate_bps=v), False
+    ),
+    "PredictedRequest.token_rate_bps": (
+        lambda v: PredictedRequest(v, 1000.0, 0.1), False
+    ),
+    "PredictedRequest.bucket_depth_bits": (
+        lambda v: PredictedRequest(1000.0, v, 0.1), False
+    ),
+    "OutageEvent.at": (lambda v: OutageEvent("L", at=v, duration=1.0), True),
+    "OutageEvent.duration": (
+        lambda v: OutageEvent("L", at=1.0, duration=v), False
+    ),
+    "OutageSpec.rate_per_second": (
+        lambda v: OutageSpec(rate_per_second=v), True
+    ),
+    "OutageSpec.mean_duration_seconds": (
+        lambda v: OutageSpec(mean_duration_seconds=v), False
+    ),
+    "OutageSpec.start_after": (lambda v: OutageSpec(start_after=v), True),
+}
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("field", list(NUMERIC_FIELDS))
+def test_numeric_field_rejects_non_finite_and_out_of_range(field, value):
+    """NaN and +-inf fail at the spec boundary, like non-positive values;
+    the message names the field and the value."""
+    build, zero_ok = NUMERIC_FIELDS[field]
+    if value == 0.0 and zero_ok:
+        build(value)
+        return
+    with pytest.raises(ValueError) as excinfo:
+        build(value)
+    message = str(excinfo.value)
+    assert field.split(".")[1] in message
+    assert repr(value) in message
 
 
 class TestDisciplineSpec:

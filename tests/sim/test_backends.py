@@ -1,10 +1,9 @@
 """Backend selection: factory routing, backend_info, pure-Python forcing.
 
-The ``Simulator`` factory picks the compiled core for heap-queue engines
-when ``repro.sim._engine_c`` is importable, and the authoritative
+The ``Simulator`` factory picks the compiled core when
+``repro.sim._engine_c`` is importable, and the authoritative
 ``PySimulator`` otherwise.  ``REPRO_PURE_PYTHON=1`` (import-time) forces
-pure Python; ``REPRO_ENGINE_QUEUE`` (construction-time) picks the default
-event store.  The compiled core must mirror the Python engine's public
+pure Python.  The compiled core must mirror the Python engine's public
 surface — including validation errors and handle semantics.
 """
 
@@ -22,7 +21,6 @@ from repro.sim import (
     SimulationError,
     Simulator,
     backend_info,
-    resolve_queue_backend,
 )
 
 INFO = backend_info()
@@ -32,30 +30,32 @@ class TestBackendInfo:
     def test_report_shape(self):
         assert INFO["engine"] in ("compiled-c", "pure-python")
         assert isinstance(INFO["compiled_available"], bool)
-        assert INFO["default_queue"] in ("heap", "calendar")
-        assert INFO["queue_backends"] == ["heap", "calendar"]
         assert INFO["pure_python_forced"] in (True, False)
+        assert set(INFO) == {
+            "engine", "compiled_available", "compiled_module",
+            "pure_python_forced",
+        }
 
     def test_engine_matches_availability(self):
         assert INFO["engine"] == (
             "compiled-c" if INFO["compiled_available"] else "pure-python"
         )
 
-    def test_calendar_always_pure_python(self):
-        sim = Simulator(queue="calendar")
-        assert isinstance(sim, PySimulator)
-        assert sim.queue_backend == "calendar"
-
-    def test_resolve_queue_backend(self, monkeypatch):
-        assert resolve_queue_backend("heap") == "heap"
-        assert resolve_queue_backend("calendar") == "calendar"
-        monkeypatch.setenv("REPRO_ENGINE_QUEUE", "calendar")
-        assert resolve_queue_backend(None) == "calendar"
-        assert resolve_queue_backend("auto") == "calendar"
-        monkeypatch.delenv("REPRO_ENGINE_QUEUE")
-        assert resolve_queue_backend(None) == "heap"
-        with pytest.raises(ValueError, match="unknown queue backend"):
-            resolve_queue_backend("btree")
+    @staticmethod
+    def run_fresh(code, pure_python):
+        """Run ``code`` in a new interpreter with ``REPRO_PURE_PYTHON``
+        set, since the switch is read once at import."""
+        repo_root = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo_root / "src")
+        env["REPRO_PURE_PYTHON"] = pure_python
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(repo_root),
+        )
 
     def test_pure_python_env_forces_py_engine(self):
         """In a fresh process with REPRO_PURE_PYTHON=1, the factory must
@@ -68,19 +68,30 @@ class TestBackendInfo:
             "assert isinstance(Simulator(), PySimulator)\n"
             "print('ok')\n"
         )
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo_root / "src")
-        env["REPRO_PURE_PYTHON"] = "1"
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(repo_root),
-        )
+        result = self.run_fresh(code, "1")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
+
+    def test_pure_python_off_does_not_force(self):
+        """``off`` is a false flag: the process keeps whichever engine
+        is available."""
+        code = (
+            "from repro.sim import backend_info\n"
+            "info = backend_info()\n"
+            "assert info['pure_python_forced'] is False, info\n"
+            "assert info['engine'] == ('compiled-c' if "
+            "info['compiled_available'] else 'pure-python'), info\n"
+            "print('ok')\n"
+        )
+        result = self.run_fresh(code, "off")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
+
+    def test_pure_python_garbage_fails_naming_the_variable(self):
+        result = self.run_fresh("import repro.sim\n", "garbage")
+        assert result.returncode != 0
+        assert "ValueError" in result.stderr
+        assert "REPRO_PURE_PYTHON='garbage'" in result.stderr
 
 
 @pytest.mark.skipif(
