@@ -17,16 +17,18 @@ tracked ``BENCH_fluid.json`` trajectory) and the CI fluid perf gate:
   ``benchmarks/perf/baseline_fluid_packet.json``) plus the founding
   fluid flows/sec floor the CI gate regresses against.
 
-Run directly for the CI gate::
+Run directly for the CI gates::
 
     PYTHONPATH=src python benchmarks/perf/fluidbench.py --quick \\
         --gate BENCH_fluid.json
+    PYTHONPATH=src python benchmarks/perf/fluidbench.py \\
+        --gate BENCH_fluid.json --gate-cell fluid_floor_congested
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.fluid import model as _fluid_model
 from repro.fluid.model import FluidOptions
@@ -55,13 +57,28 @@ SCALE_DURATION_SECONDS = 60.0
 #: The gate instance (mid-size: big enough to be numpy-bound, small
 #: enough for a CI smoke step).
 GATE_FLOWS, GATE_K = 10_000, 8
+#: Offered load of the congested gate cell (``fluid_floor_congested``):
+#: past saturation, so every epoch runs the max-min waterfill instead of
+#: the closed-form uncongested path the default cell measures.
+CONGESTED_UTILIZATION = 1.3
+
+#: Floors the gate can re-measure (``--gate-cell``).
+GATE_CELLS = ("fluid_floor", "fluid_floor_congested", "fluid_floor_1m")
 
 
-def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
+def _fluid_point(
+    num_flows: int, k: int, duration: float,
+    target_utilization: Optional[float] = None,
+) -> Dict[str, float]:
+    """One fat-tree cell end to end on the fluid engine (CSZ);
+    ``target_utilization`` overrides the generator's default load."""
+    load = {}
+    if target_utilization is not None:
+        load["target_utilization"] = target_utilization
     built = time.perf_counter()
     spec = registry.build(
         "gen:fat-tree", gen_seed=1, k=k, num_flows=num_flows,
-        duration=duration, engine="fluid",
+        duration=duration, engine="fluid", **load,
     )
     build_wall = time.perf_counter() - built
     # Benches read aggregates only: skip per-flow delay sample lists
@@ -78,6 +95,7 @@ def _fluid_point(num_flows: int, k: int, duration: float) -> Dict[str, float]:
         "num_flows": num_flows,
         "k": k,
         "duration": duration,
+        **load,
         "backend": _resolved_backend(),
         "build_wall_seconds": build_wall,
         "wall_seconds": total_wall,
@@ -151,12 +169,16 @@ def run_all(scale: float = 1.0) -> Dict[str, object]:
 def run_baseline(scale: float = 1.0) -> Dict[str, object]:
     """The frozen reference: packet engine on the crossover instance,
     plus the fluid flows/sec floors (the gate's regression anchors,
-    re-frozen only deliberately) — the CI gate cell at 10k flows and
-    the 1M-flow scale regime's own floor."""
+    re-frozen only deliberately) — the CI gate cell at 10k flows, the
+    same cell past saturation, and the 1M-flow scale regime's own
+    floor."""
     scale = max(scale, 0.01)
     crossover = bench_crossover(scale)
     duration = max(SCALE_DURATION_SECONDS * scale, 5.0)
     gate = _fluid_point(GATE_FLOWS, GATE_K, duration)
+    congested = _fluid_point(
+        GATE_FLOWS, GATE_K, duration, CONGESTED_UTILIZATION
+    )
     flows_1m, k_1m = SCALE_SIZES[-1]
     floor_1m = _fluid_point(
         max(int(flows_1m * scale), 1000), k_1m, duration
@@ -169,6 +191,7 @@ def run_baseline(scale: float = 1.0) -> Dict[str, object]:
             "packet_events": crossover["packet_events"],
         },
         "fluid_floor": gate,
+        "fluid_floor_congested": congested,
         "fluid_floor_1m": floor_1m,
     }
 
@@ -184,8 +207,10 @@ def _gate(
     """Fail CI when fluid flows/sec regresses >``tolerance`` against the
     committed ``BENCH_fluid.json`` gate point (same container image, so
     a 25% drop is a real regression, not machine noise).  ``cell``
-    selects the committed floor: the default 10k CI cell, or
-    ``fluid_floor_1m`` for the (slow) full-scale leg."""
+    selects the committed floor: the default 10k CI cell,
+    ``fluid_floor_congested`` (the same fabric at 1.3x load, where the
+    waterfill runs every epoch), or ``fluid_floor_1m`` for the (slow)
+    full-scale leg."""
     import json
 
     with open(report_path) as handle:
@@ -213,7 +238,7 @@ def _gate(
     for _ in range(3):
         measured = _fluid_point(
             floor_point["num_flows"], floor_point["k"],
-            floor_point["duration"],
+            floor_point["duration"], floor_point.get("target_utilization"),
         )
         rate = max(rate, measured["flows_per_sec"])
         if rate >= threshold:
@@ -243,10 +268,10 @@ def main(argv=None) -> int:
         "exit non-zero on a >25%% regression",
     )
     parser.add_argument(
-        "--gate-cell", default="fluid_floor",
-        choices=("fluid_floor", "fluid_floor_1m"),
-        help="committed floor to gate against (fluid_floor_1m re-runs "
-        "the full 1M-flow leg: minutes, not a CI smoke step)",
+        "--gate-cell", default="fluid_floor", choices=GATE_CELLS,
+        help="committed floor to gate against (fluid_floor_congested "
+        "re-runs the 10k cell at 1.3x load; fluid_floor_1m re-runs the "
+        "full 1M-flow leg: minutes, not a CI smoke step)",
     )
     args = parser.parse_args(argv)
     scale = 0.125 if args.quick else 1.0

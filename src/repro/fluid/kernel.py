@@ -18,7 +18,8 @@ Three coordinated mechanisms:
   permutation with row pointers (``lk_entry``/``link_ptr``) so per-link
   per-epoch loads come out of one ``add.reduceat`` instead of a Python
   rebuild per call.  Waterfill, backlog updates, and the accumulators
-  all share it.
+  all share it; the waterfill (:func:`waterfill`) works on a compacted
+  copy of the active flows' entries that shrinks as flows freeze.
 
 * **Fused multi-epoch blocks** — the on/off phase grid for a block of
   ``K`` epochs is evaluated as one ``(flows, K)`` array; per-link
@@ -55,11 +56,14 @@ across a link-state boundary, and flows with no route (or torn down)
 disable the jump for their segment so their sheds are ledgered
 epoch-exactly.
 
-The pure-Python backend in :mod:`repro.fluid.model` stays authoritative
-and untouched; ``tests/fluid/test_kernel.py`` pins kernel-vs-pure
-agreement across generated fabrics, disciplines, and epoch sizes, and
-kernel-vs-kernel (fused/fast-forward on vs off) agreement at tighter
-tolerance still.
+The pure-Python backend in :mod:`repro.fluid.model` stays authoritative;
+``tests/fluid/test_kernel.py`` pins kernel-vs-pure agreement across
+generated fabrics, disciplines, and epoch sizes, and kernel-vs-kernel
+(fused/fast-forward on vs off) agreement at tighter tolerance still.
+Both backends solve congested epochs with the same max-min rule
+(:func:`waterfill` and :func:`repro.fluid.model.waterfill_pure`), which
+``tests/fluid/test_waterfill.py`` certifies optimal independently of
+either.
 """
 
 from __future__ import annotations
@@ -169,6 +173,13 @@ class FluidKernel:
     all write into the same arrays, and :meth:`run` writes them back to
     the :class:`~repro.fluid.model.FluidSimulation` in the plain-list
     currency ``collect()`` reads.
+
+    Congested and backlogged epochs go through :meth:`_single_epoch`,
+    which solves each service tier with the parallel max-min
+    :func:`waterfill`: every round freezes all demand-limited flows and
+    every locally-minimal bottleneck link at once, so a call takes as
+    many rounds as its bottleneck dependency graph is deep, not one
+    round per distinct fair-share level.
     """
 
     def __init__(self, sim):
@@ -673,62 +684,13 @@ class FluidKernel:
     def _waterfill(
         self, members, demand, weight, rate, bottleneck, slack
     ) -> None:
-        """Demand-bounded weighted max-min over one tier (vectorised;
-        identical algorithm to the pure backend's ``_waterfill_pure``)."""
-        np_ = np
-        csr = self.csr
-        F, L = self.F, self.L
-        ef, el = csr.ef, csr.el
-        active = np_.zeros(F, dtype=bool)
-        active[members] = (demand[members] > 0) & (weight[members] > 0)
-        if not active.any():
-            return
-        max_rounds = self.opts.max_rounds
-        rounds = 0
-        while rounds < max_rounds:
-            rounds += 1
-            aw = np_.where(active, weight, 0.0)
-            wsum = np_.bincount(el, weights=aw[ef], minlength=L)
-            contended = wsum > 0
-            if not contended.any():
-                return
-            lam = float(
-                np_.min(
-                    np_.maximum(slack[contended], 0.0) / wsum[contended]
-                )
-            )
-            gap = demand - rate
-            hit = active & (gap <= lam * weight * (1 + 1e-12))
-            if hit.any():
-                rate[hit] = demand[hit]
-                active &= ~hit
-            else:
-                rate += lam * aw
-            used = np_.bincount(el, weights=rate[ef], minlength=L)
-            slack[:] = self.caps - used
-            sat_entry = (slack[el] <= self.eps[el]) & active[ef]
-            if sat_entry.any():
-                bn = np_.full(F, L, dtype=np_.int64)
-                np_.minimum.at(bn, ef[sat_entry], el[sat_entry])
-                frozen = bn < L
-                bottleneck[frozen] = bn[frozen]
-                active &= ~frozen
-            if not active.any():
-                return
-        # Round cap exhausted: final demand-capped proportional fill.
-        self.sim.waterfill_exhausted += int(active.sum())
-        aw = np_.where(active, weight, 0.0)
-        wsum = np_.bincount(el, weights=aw[ef], minlength=L)
-        contended = wsum > 0
-        if contended.any():
-            lam = float(
-                np_.min(
-                    np_.maximum(slack[contended], 0.0) / wsum[contended]
-                )
-            )
-            rate[active] = np_.minimum(
-                demand[active], rate[active] + lam * weight[active]
-            )
+        """One tier's max-min solve (:func:`waterfill`) over the current
+        view's incidence; flows left unsolved when ``max_rounds`` runs
+        out are counted in the simulation's ``waterfill_exhausted``."""
+        self.sim.waterfill_exhausted += waterfill(
+            self.csr, self.caps, self.eps, members, demand, weight, rate,
+            bottleneck, slack, self.opts.max_rounds,
+        )
 
     # ------------------------------------------------------------------
     def _writeback(self) -> None:
@@ -755,6 +717,91 @@ class FluidKernel:
                 (float(d[pos]), float(w[pos]))
                 for d, w in zip(self.rec_delays, self.rec_weights)
             ]
+
+
+def waterfill(
+    csr, caps, eps, members, demand, weight, rate, bottleneck, slack,
+    max_rounds: int,
+) -> int:
+    """Demand-bounded weighted max-min over one tier's ``members``,
+    eating into ``slack`` (``caps`` minus every rate already set, earlier
+    tiers included).  Writes ``rate``, ``bottleneck`` and ``slack`` in
+    place; returns how many flows were still unsolved when
+    ``max_rounds`` ran out (0 on convergence).
+
+    The parallel rule.  A link's *fair share* is ``max(slack, 0)`` over
+    the summed weight of the active flows crossing it; a flow's *path
+    share* is the smallest fair share on its path.  Each round, at once:
+
+    * every active flow whose demand level ``demand / weight`` is at
+      most its path share (to 1e-12 relative) freezes at its demand;
+    * every link whose fair share is no greater than the *cap level*
+      ``min(demand level, path share)`` of each active flow crossing it
+      is a local bottleneck, and its flows that are not demand-limited
+      freeze at ``share * weight`` (that share is their path share).
+
+    Freezing a flow below a link's share never lowers that share, so
+    every frozen level is final and the fixed point is the unique
+    weighted max-min allocation.  Rounds number the depth of the
+    bottleneck dependency graph, not the distinct levels.  ``slack`` is
+    recomputed from scratch after every round; a flow frozen by a link
+    gets as ``bottleneck`` the lowest-index link of its path left with
+    ``slack <= eps``.  When the cap runs out, the unsolved flows get
+    ``min(demand, path share * weight)``: feasible, but not max-min.
+
+    The per-round work runs over a compacted list of the active flows'
+    entries (flow-major, in incidence order).
+    :func:`repro.fluid.model.waterfill_pure` is the same rule in plain
+    Python with the same summation order.
+    """
+    ef, el = csr.ef, csr.el
+    L = csr.num_links
+    ptr = csr.flow_ptr
+    counts = ptr[members + 1] - ptr[members]
+    act = (demand[members] > 0) & (weight[members] > 0) & (counts > 0)
+    flows, counts = members[act], counts[act]
+    if not flows.size:
+        return 0
+    ends = np.cumsum(counts)
+    links = el[
+        np.arange(ends[-1]) + np.repeat(ptr[flows] - (ends - counts), counts)
+    ]
+    w, d = weight[flows], demand[flows]
+    level = d / w
+    rounds = 0
+    while True:
+        starts = ends - counts
+        wsum = np.bincount(
+            links, weights=np.repeat(w, counts), minlength=L
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = np.maximum(slack, 0.0) / wsum
+        entry_share = share[links]
+        path_share = np.minimum.reduceat(entry_share, starts)
+        if rounds == max_rounds:
+            rate[flows] = np.minimum(d, path_share * w)
+            return int(flows.size)
+        rounds += 1
+        limited = level <= path_share * (1 + 1e-12)
+        cap_level = np.minimum(level, path_share)
+        blocked = np.zeros(L, dtype=bool)
+        blocked[links[np.repeat(cap_level, counts) < entry_share]] = True
+        pinned = np.logical_or.reduceat(~blocked[links], starts) & ~limited
+        rate[flows[limited]] = d[limited]
+        rate[flows[pinned]] = path_share[pinned] * w[pinned]
+        slack[:] = caps - np.bincount(el, weights=rate[ef], minlength=L)
+        if pinned.any():
+            sat = np.where(slack[links] <= eps[links], links, L)
+            bn = np.minimum.reduceat(sat, starts)[pinned]
+            hit = bn < L
+            bottleneck[flows[pinned][hit]] = bn[hit]
+        keep = ~(limited | pinned)
+        if not keep.any():
+            return 0
+        links = links[np.repeat(keep, counts)]
+        flows, counts = flows[keep], counts[keep]
+        w, d, level = w[keep], d[keep], level[keep]
+        ends = np.cumsum(counts)
 
 
 def run_kernel(sim) -> None:

@@ -109,9 +109,14 @@ class FluidOptions:
             ones (that budget is what makes a 100k-flow fat-tree finish
             in tens of seconds).
         target_flow_epochs: auto-epoch budget, in flow-epoch advances.
-        max_rounds: water-filling round cap per tier per epoch; when
-            exhausted the remaining flows get one final demand-capped
-            proportional fill (counted in ``waterfill_exhausted``).
+        max_rounds: cap on rounds of the parallel max-min rule per tier
+            per epoch (see :func:`repro.fluid.kernel.waterfill`; each
+            round freezes every local bottleneck at once, so converged
+            calls take as many rounds as the bottleneck dependency graph
+            is deep).  Flows still unsolved when it runs out get
+            ``min(demand, path share * weight)`` and are counted in
+            ``waterfill_exhausted``, which results report under
+            ``runtime``.
         backend: ``"auto"`` / ``"numpy"`` / ``"pure"``.
         record_flows: accumulate per-flow delay sample lists for
             recorded flows (the default).  Benchmark and sweep runs
@@ -144,6 +149,80 @@ class FluidOptions:
         if backend is not None and "backend" not in overrides:
             overrides["backend"] = backend
         return cls(**overrides)
+
+
+def waterfill_pure(
+    flows, paths, caps, eps, demand, weight, rate, bottleneck, slack,
+    max_rounds: int,
+) -> int:
+    """Demand-bounded weighted max-min over one tier's ``flows``, eating
+    into ``slack`` (shared across tiers, already reduced by earlier
+    tiers); ``paths`` is the current link state's per-flow route view.
+    Returns how many flows were unsolved when ``max_rounds`` ran out.
+
+    The parallel rule of :func:`repro.fluid.kernel.waterfill`, as plain
+    loops: each round, every active flow whose demand level
+    ``demand / weight`` is at most its path share (the smallest
+    ``max(slack, 0) / active weight`` on its path) freezes at its
+    demand, and every link whose share is no greater than the cap level
+    ``min(demand level, path share)`` of each active flow crossing it
+    freezes its other flows at ``share * weight``, recording in
+    ``bottleneck`` their lowest-index link left with ``slack <= eps``.
+    Slack is recomputed from scratch each round, over *all* flows, so
+    earlier tiers stay counted and nothing drifts.  Sums run in the
+    kernel's (flow-major) order, so the two backends agree bit for bit
+    here.
+    """
+    L = len(caps)
+    active = [f for f in flows if demand[f] > 0 and weight[f] > 0 and paths[f]]
+    rounds = 0
+    while active:
+        wsum = [0.0] * L
+        for f in active:
+            w = weight[f]
+            for l in paths[f]:
+                wsum[l] += w
+        share = [
+            max(slack[l], 0.0) / wsum[l] if wsum[l] > 0 else math.inf
+            for l in range(L)
+        ]
+        path_share = [min(share[l] for l in paths[f]) for f in active]
+        if rounds == max_rounds:
+            for f, ps in zip(active, path_share):
+                rate[f] = min(demand[f], ps * weight[f])
+            return len(active)
+        rounds += 1
+        blocked = [False] * L
+        limited = []
+        for f, ps in zip(active, path_share):
+            level = demand[f] / weight[f]
+            limited.append(level <= ps * (1 + 1e-12))
+            cap_level = level if level < ps else ps
+            for l in paths[f]:
+                if cap_level < share[l]:
+                    blocked[l] = True
+        pinned, still = [], []
+        for f, ps, lim in zip(active, path_share, limited):
+            if lim:
+                rate[f] = demand[f]
+            elif not all(blocked[l] for l in paths[f]):
+                rate[f] = ps * weight[f]
+                pinned.append(f)
+            else:
+                still.append(f)
+        used = [0.0] * L
+        for g, r in enumerate(rate):
+            if r > 0:
+                for l in paths[g]:
+                    used[l] += r
+        for l in range(L):
+            slack[l] = caps[l] - used[l]
+        for f in pinned:
+            saturated = [l for l in paths[f] if slack[l] <= eps[l]]
+            if saturated:
+                bottleneck[f] = min(saturated)
+        active = still
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -788,9 +867,9 @@ class FluidSimulation:
                 bottleneck[f] = -1
             slack = list(self.caps)
             for t in range(T):
-                self._waterfill_pure(
-                    tier_flows[t], paths, demand, weight, rate,
-                    bottleneck, slack, eps,
+                self.waterfill_exhausted += waterfill_pure(
+                    tier_flows[t], paths, self.caps, eps, demand, weight,
+                    rate, bottleneck, slack, self.options.max_rounds,
                 )
             for f in unrouted:
                 rate[f] = demand[f]
@@ -871,72 +950,6 @@ class FluidSimulation:
                         (delay, served / self.size_bits[f])
                     )
             self.events_processed += F
-
-    def _waterfill_pure(
-        self, flows, paths, demand, weight, rate, bottleneck, slack, eps
-    ) -> None:
-        """Demand-bounded weighted max-min over one tier's flows, eating
-        into ``slack`` (shared across tiers, already reduced by earlier
-        tiers).  Freezes flows either at their demand or at the first
-        link of theirs that saturates (recorded in ``bottleneck``).
-        ``paths`` is the current link state's per-flow route view."""
-        active = {
-            f for f in flows if demand[f] > 0 and weight[f] > 0
-        }
-        rounds = 0
-        while active and rounds < self.options.max_rounds:
-            rounds += 1
-            wsum: Dict[int, float] = {}
-            for f in active:
-                for l in paths[f]:
-                    wsum[l] = wsum.get(l, 0.0) + weight[f]
-            lam = min(
-                (max(slack[l], 0.0) / wsum[l] for l in wsum), default=0.0
-            )
-            hit = [
-                f for f in active
-                if demand[f] - rate[f] <= lam * weight[f] * (1 + 1e-12)
-            ]
-            if hit:
-                for f in hit:
-                    rate[f] = demand[f]
-                    active.discard(f)
-            else:
-                for f in active:
-                    rate[f] += lam * weight[f]
-            # Exact slack from scratch (over *all* flows, so earlier
-            # tiers' allocations stay counted) — mirrors the NumPy
-            # backend's bincount and is immune to incremental drift.
-            used_all = [0.0] * len(self.caps)
-            for g, r in enumerate(rate):
-                if r > 0:
-                    for l in paths[g]:
-                        used_all[l] += r
-            for l in range(len(self.caps)):
-                slack[l] = self.caps[l] - used_all[l]
-            frozen = []
-            for f in active:
-                saturated = [
-                    l for l in paths[f] if slack[l] <= eps[l]
-                ]
-                if saturated:
-                    bottleneck[f] = min(saturated)
-                    frozen.append(f)
-            for f in frozen:
-                active.discard(f)
-        if active:
-            # Round cap exhausted: one final demand-capped proportional
-            # fill so no capacity is silently stranded.
-            self.waterfill_exhausted += len(active)
-            wsum = {}
-            for f in active:
-                for l in paths[f]:
-                    wsum[l] = wsum.get(l, 0.0) + weight[f]
-            lam = min(
-                (max(slack[l], 0.0) / wsum[l] for l in wsum), default=0.0
-            )
-            for f in active:
-                rate[f] = min(demand[f], rate[f] + lam * weight[f])
 
     # -- NumPy backend --------------------------------------------------
     def _advance_numpy(self) -> None:
@@ -1023,6 +1036,7 @@ class FluidSimulation:
                 if self.control_plan is not None
                 else None
             ),
+            waterfill_exhausted=self.waterfill_exhausted,
         )
 
     def _flow_stats(self, f: int, flow: FlowSpec) -> FlowStats:

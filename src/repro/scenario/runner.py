@@ -139,6 +139,10 @@ class DisciplineRunResult:
     carries a :class:`repro.control.ControlPlaneStats` summary —
     outages processed, SPF recomputes, per-flow reroutes/re-admissions,
     and the failure-drop ledgers — only when the spec declared outages.
+    ``waterfill_exhausted`` is the fluid engine's solver-health count
+    (flows whose max-min solve hit ``FluidOptions.max_rounds``; 0 on a
+    converged run) and ``None`` on the packet engine; it is reported
+    under ``runtime``, outside :meth:`comparable_dict`.
     """
 
     discipline: str
@@ -155,6 +159,7 @@ class DisciplineRunResult:
     worker_pid: int
     invariants: Optional[Tuple[Any, ...]] = None  # InvariantCheck tuple
     control: Optional[Any] = None  # ControlPlaneStats for outage runs
+    waterfill_exhausted: Optional[int] = None  # fluid engine only
 
     @property
     def total_drops(self) -> int:
@@ -238,6 +243,8 @@ class DisciplineRunResult:
                 "worker_pid": self.worker_pid,
             },
         }
+        if self.waterfill_exhausted is not None:
+            data["runtime"]["waterfill_exhausted"] = self.waterfill_exhausted
         if self.invariants is not None:
             # Only validated runs carry the key, so unvalidated payloads
             # (and the goldens pinning them) are byte-identical to before.

@@ -64,8 +64,11 @@ class LinkSpec:
             )
         if self.buffer_packets <= 0:
             raise ValueError("buffer size must be positive")
-        if self.propagation_delay < 0:
-            raise ValueError("propagation delay cannot be negative")
+        if not 0.0 <= self.propagation_delay < inf:
+            raise ValueError(
+                f"link propagation_delay must be non-negative and finite, "
+                f"got {self.propagation_delay!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -421,6 +424,25 @@ class FlowSpec:
             raise ValueError(
                 f"flow packet_size_bits must be positive and finite, got "
                 f"{self.packet_size_bits!r}"
+            )
+        if not 0.0 < self.mean_burst_packets < inf:
+            raise ValueError(
+                f"flow mean_burst_packets must be positive and finite, got "
+                f"{self.mean_burst_packets!r}"
+            )
+        if self.peak_rate_pps is not None and not (
+            0.0 < self.peak_rate_pps < inf
+        ):
+            raise ValueError(
+                f"flow peak_rate_pps must be positive and finite, got "
+                f"{self.peak_rate_pps!r}"
+            )
+        if self.bucket_packets is not None and not (
+            0.0 < self.bucket_packets < inf
+        ):
+            raise ValueError(
+                f"flow bucket_packets must be positive and finite, got "
+                f"{self.bucket_packets!r}"
             )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -123,11 +123,23 @@ class TestFlowSpec:
 #: is a valid value).  Every other value of BAD_VALUES must be rejected.
 NUMERIC_FIELDS = {
     "LinkSpec.rate_bps": (lambda v: LinkSpec("a", "b", rate_bps=v), False),
+    "LinkSpec.propagation_delay": (
+        lambda v: LinkSpec("a", "b", propagation_delay=v), True
+    ),
     "FlowSpec.average_rate_pps": (
         lambda v: FlowSpec("f", "a", "b", average_rate_pps=v), False
     ),
     "FlowSpec.packet_size_bits": (
         lambda v: FlowSpec("f", "a", "b", packet_size_bits=v), False
+    ),
+    "FlowSpec.mean_burst_packets": (
+        lambda v: FlowSpec("f", "a", "b", mean_burst_packets=v), False
+    ),
+    "FlowSpec.peak_rate_pps": (
+        lambda v: FlowSpec("f", "a", "b", peak_rate_pps=v), False
+    ),
+    "FlowSpec.bucket_packets": (
+        lambda v: FlowSpec("f", "a", "b", bucket_packets=v), False
     ),
     "ScenarioSpec.duration": (lambda v: minimal_spec(duration=v), False),
     "ScenarioSpec.warmup": (lambda v: minimal_spec(warmup=v), True),
